@@ -417,9 +417,7 @@ impl<P: UtilityPolicy> CacheEngine<P> {
         }
     }
 
-    // --- crate-internal hooks for the sharded wrapper (`crate::shard`) ---
-
-    /// The victims committed by the most recent access or regrow, as
+    /// The victims committed by the most recent access, as
     /// `(slot, bytes, utility)` in eviction order.
     ///
     /// Only meaningful when that operation's outcome reported
@@ -429,93 +427,6 @@ impl<P: UtilityPolicy> CacheEngine<P> {
     /// exact accumulation order of [`CacheStats::bytes_evicted`].
     pub(crate) fn last_evictions(&self) -> &[(u32, f64, f64)] {
         &self.scratch
-    }
-
-    /// Rebinds the capacity without touching contents. The caller must keep
-    /// `used_bytes <= capacity` (the budget-steal path only shrinks a shard
-    /// by bytes it just freed).
-    pub(crate) fn set_capacity(&mut self, capacity_bytes: f64) {
-        debug_assert!(capacity_bytes.is_finite() && capacity_bytes >= 0.0);
-        debug_assert!(self.used_bytes <= capacity_bytes + 1e-6);
-        self.capacity_bytes = capacity_bytes;
-    }
-
-    /// Evicts minimum-utility entries while their utility is strictly below
-    /// `max_utility`, until at least `needed_bytes` have been freed or no
-    /// eligible victim remains. Returns `(bytes freed, victims evicted)`.
-    ///
-    /// Evictions commit immediately (statistics and delta log included):
-    /// this is the donor half of a cross-shard budget steal, not an
-    /// admission attempt, so there is nothing to roll back.
-    pub(crate) fn evict_lowest(&mut self, max_utility: f64, needed_bytes: f64) -> (f64, usize) {
-        let mut freed = 0.0;
-        let mut count = 0;
-        while freed < needed_bytes {
-            match self.heap.peek_min() {
-                Some((victim, victim_utility)) if victim_utility < max_utility => {
-                    self.heap.pop_min();
-                    let bytes = self.slots[victim as usize].cached_bytes;
-                    self.slots[victim as usize].cached_bytes = 0.0;
-                    self.used_bytes -= bytes;
-                    freed += bytes;
-                    count += 1;
-                    self.stats.evictions += 1;
-                    self.stats.bytes_evicted += bytes;
-                    if self.track_deltas {
-                        self.deltas.push(CacheDelta {
-                            slot: victim,
-                            key: self.slots[victim as usize].key,
-                            new_bytes: 0.0,
-                        });
-                    }
-                }
-                _ => break,
-            }
-        }
-        (freed, count)
-    }
-
-    /// The utility the policy currently assigns to `slot` (present
-    /// frequency and clock, no state change) — what a repeat of the last
-    /// access would compete with.
-    pub(crate) fn current_utility(&self, slot: u32, meta: &ObjectMeta, bandwidth_bps: f64) -> f64 {
-        let s = &self.slots[slot as usize];
-        self.policy
-            .utility(meta, s.frequency, bandwidth_bps, self.clock)
-            .max(0.0)
-    }
-
-    /// Retries growing `slot` towards the policy target without recording a
-    /// new request: frequency, clock and the request/hit/byte-split
-    /// statistics are untouched; admissions and evictions count as usual.
-    /// Used after a budget steal has raised this engine's capacity.
-    ///
-    /// The returned outcome's `bytes_from_cache`/`bytes_from_origin` are
-    /// zero — no bytes moved on behalf of a client here.
-    pub(crate) fn regrow_slot(
-        &mut self,
-        slot: u32,
-        meta: &ObjectMeta,
-        bandwidth_bps: f64,
-    ) -> AccessOutcome {
-        let s = &self.slots[slot as usize];
-        debug_assert_eq!(s.key, meta.key, "slot/key mismatch in regrow");
-        let cached_before = s.cached_bytes;
-        let utility = self.current_utility(slot, meta, bandwidth_bps);
-        let target = self
-            .policy
-            .target_bytes(meta, bandwidth_bps)
-            .clamp(0.0, meta.size_bytes());
-        let (cached_after, evictions, admitted) =
-            self.rebalance(slot, cached_before, target, utility);
-        AccessOutcome {
-            cached_bytes_before: cached_before,
-            cached_bytes_after: cached_after,
-            bytes_from_cache: 0.0,
-            bytes_from_origin: 0.0,
-            evictions,
-            admitted,
-        }
     }
 
     /// Grows (never shrinks) the allocation of `slot` towards `target`,

@@ -87,9 +87,17 @@ impl Hasher for FxHasher {
     }
 }
 
-/// Hashes a single `u64` with the Fx mix — the shard-routing primitive
-/// used by [`ShardedEngine`](crate::ShardedEngine) (`hash(key) % shards`),
-/// exposed so tests and external routers can reproduce the placement.
+/// Hashes a single `u64` for shard routing: the Fx mix followed by
+/// murmur3's `fmix64` finalizer. This is the routing primitive of
+/// [`ShardedEngine`](crate::ShardedEngine) (`hash(key) % shards`), exposed
+/// so tests and external routers can reproduce the placement.
+///
+/// The Fx mix of one word is a bare multiply, and bit `i` of a product
+/// depends only on bits `0..=i` of its input. Reducing it modulo a small
+/// shard count therefore reads only the key's lowest bits; keys that are
+/// themselves Fx hashes of short names (`clip-<i>`) then share their low
+/// bits and all land in one shard. The finalizer lets every input bit
+/// reach every output bit.
 ///
 /// ```
 /// use sc_cache::fx::hash_u64;
@@ -100,7 +108,12 @@ impl Hasher for FxHasher {
 pub fn hash_u64(value: u64) -> u64 {
     let mut hasher = FxHasher::default();
     hasher.write_u64(value);
-    hasher.finish()
+    let mut h = hasher.finish();
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+    h ^ (h >> 33)
 }
 
 /// [`BuildHasher`](std::hash::BuildHasher) for [`FxHasher`].

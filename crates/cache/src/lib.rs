@@ -24,11 +24,12 @@
 //!   slot handles, so the steady-state access path is hash-free and
 //!   allocation-free (see `ARCHITECTURE.md`, "Hot path & performance").
 //! * [`ShardedEngine`] — N-way sharding of the engine for concurrent
-//!   callers: independent slabs routed by key hash, per-shard byte budgets
-//!   with optional power-of-two-choices stealing, and lock-free aggregate
-//!   statistics ([`AtomicCacheStats`]).
+//!   callers: independent slabs routed by an avalanching key hash, fixed
+//!   per-shard byte budgets, a caller-defined table per shard guarded by
+//!   the shard's lock, and lock-free aggregate statistics
+//!   ([`AtomicCacheStats`]).
 //! * [`fx`] — the hand-rolled Fx-style hasher behind the engine's thin
-//!   key→slot interning map.
+//!   key→slot interning map, and the shard-routing hash.
 //! * Offline solvers — [`optimal_partial_allocation`] (the fractional
 //!   knapsack optimum of Section 2.3), [`greedy_value_selection`] and
 //!   [`exact_value_selection`] (the value-based knapsack of Section 2.6).

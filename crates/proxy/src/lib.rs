@@ -52,7 +52,7 @@ pub mod protocol;
 mod proxy;
 mod ratelimit;
 mod retry;
-mod store;
+mod table;
 
 pub use client::{StreamingClient, TransferReport};
 pub use content::{content_byte, fill_content, verify_content};
@@ -62,4 +62,3 @@ pub use origin::{ObjectSpec, OriginConfig, OriginServer};
 pub use proxy::{CachingProxy, ProxyConfig, ProxyStats};
 pub use ratelimit::RateLimiter;
 pub use retry::{BreakerConfig, BreakerState, CircuitBreaker, RetryPolicy};
-pub use store::PrefixStore;

@@ -4,9 +4,15 @@
 //! data path"): a fixed worker pool drains a bounded accept queue, origin
 //! connections are bounded by a counting semaphore, the origin tail streams
 //! through a fixed-size reusable chunk ring (retaining only the prefix the
-//! policy may admit, never the whole object), and the byte store is
-//! reconciled against the cache engine via its O(changes) delta log instead
-//! of a per-request full-contents scan.
+//! policy may admit, never the whole object), and the cached bytes live in
+//! a slot-indexed [`SlotTable`] inside each engine shard, reconciled from
+//! the shard's O(changes) delta log under the shard's own lock.
+//!
+//! A request runs in named stages: [`parse`] → [`lookup`] (one shard
+//! lock) → [`open`] (the origin, if the prefix does not cover the object)
+//! → [`relay`] (header, prefix, then the origin tail through the ring) →
+//! [`commit`] (the estimator, then one shard lock for the engine decision
+//! and the table update).
 //!
 //! On top of that sits the overload layer (see `ARCHITECTURE.md`,
 //! "Overload & admission control"): queued connections carry enqueue
@@ -24,12 +30,12 @@ use crate::protocol::{
 };
 use crate::ratelimit::RateLimiter;
 use crate::retry::{BreakerConfig, BreakerState, CircuitBreaker, RetryPolicy};
-use crate::store::PrefixStore;
+use crate::table::{Object, SlotTable};
 use bytes::Bytes;
 use parking_lot::Mutex;
-use sc_cache::fx::{FxHashMap, FxHasher};
+use sc_cache::fx::FxHasher;
 use sc_cache::policy::{PolicyKind, UtilityPolicy};
-use sc_cache::{CacheDelta, ObjectKey, ObjectMeta, ShardedEngine};
+use sc_cache::{ObjectKey, ObjectMeta, ShardedEngine};
 use sc_netmodel::{BandwidthEstimator, EwmaEstimator};
 use std::hash::Hasher as _;
 use std::io::{BufReader, BufWriter, Read, Write};
@@ -48,7 +54,7 @@ const RING_BYTES: usize = 64 * 1024;
 /// Safety margin on the conservative bandwidth lower bound used to size the
 /// tail-retention buffer: the retention cap is computed as the policy
 /// target at 90% of the bound, so estimator movement during the transfer
-/// cannot strand the store short of the engine's eventual grant.
+/// cannot strand the stored prefix short of the engine's eventual grant.
 const RETAIN_BANDWIDTH_SLACK: f64 = 0.9;
 
 /// Configuration of the caching proxy.
@@ -154,13 +160,13 @@ impl ProxyConfig {
 pub struct ProxyStats {
     /// Requests handled.
     pub requests: u64,
-    /// Bytes served to clients straight from the prefix store.
+    /// Bytes served to clients straight from cached prefixes.
     pub bytes_from_cache: u64,
     /// Bytes relayed from the origin server.
     pub bytes_from_origin: u64,
     /// Current number of objects with a cached prefix.
     pub cached_objects: usize,
-    /// Current bytes held in the prefix store.
+    /// Current bytes held in cached prefixes.
     pub cached_bytes: u64,
     /// Latest estimate of the origin-path bandwidth in bytes per second.
     pub estimated_origin_bps: f64,
@@ -234,17 +240,10 @@ struct ProxyState {
     config: ProxyConfig,
     /// N-way sharded cache engine: requests for objects in different shards
     /// take different locks, so the cache decision is no longer a global
-    /// serialization point across the worker pool.
-    engine: ShardedEngine<Box<dyn UtilityPolicy + Send + Sync>>,
-    store: PrefixStore,
-    /// name → (size, bitrate) learned from origin response headers.
-    metadata: Mutex<FxHashMap<String, (u64, f64)>>,
-    /// Per-shard: engine slot handle → object name, the reverse of each
-    /// shard's key→slot interning. Slot handles are dense, stable and
-    /// **shard-local**, so this is one flat vector per shard; delta
-    /// application resolves names in O(1) under the same shard lock that
-    /// produced the deltas.
-    slot_names: Vec<Mutex<Vec<Option<String>>>>,
+    /// serialization point across the worker pool. Each shard's
+    /// [`SlotTable`] — names, metadata and prefix bytes, indexed by the
+    /// shard's slot handles — lives under that shard's lock.
+    engine: ShardedEngine<Box<dyn UtilityPolicy + Send + Sync>, SlotTable>,
     estimator: Mutex<EwmaEstimator>,
     /// The accept queue, shared with the accept thread and workers: it is
     /// part of the state so both the stats snapshot and the `STATS` verb
@@ -270,15 +269,22 @@ struct ProxyState {
 
 impl ProxyState {
     /// A consistent-enough snapshot of every counter: the hot counters are
-    /// read lock-free; only the store summary and the estimator take
-    /// locks. Used both by [`CachingProxy::stats`] and the `STATS` verb.
+    /// read lock-free; the cached totals take each shard lock once and the
+    /// estimator its own. Used both by [`CachingProxy::stats`] and the
+    /// `STATS` verb.
     fn snapshot(&self) -> ProxyStats {
+        let (cached_objects, cached_bytes) = (0..self.engine.shard_count())
+            .map(|i| {
+                self.engine
+                    .with_shard_index(i, |_, table| (table.objects(), table.bytes()))
+            })
+            .fold((0, 0), |(n, b), (tn, tb)| (n + tn, b + tb));
         ProxyStats {
             requests: self.requests.load(Ordering::Relaxed),
             bytes_from_cache: self.bytes_from_cache.load(Ordering::Relaxed),
             bytes_from_origin: self.bytes_from_origin.load(Ordering::Relaxed),
-            cached_objects: self.store.len(),
-            cached_bytes: self.store.total_bytes() as u64,
+            cached_objects,
+            cached_bytes,
             estimated_origin_bps: self
                 .estimator
                 .lock()
@@ -373,11 +379,11 @@ impl CachingProxy {
         } else {
             config.engine_shards
         };
-        let engine = ShardedEngine::new(config.cache_capacity_bytes, shards, || {
+        let engine = ShardedEngine::with_tables(config.cache_capacity_bytes, shards, || {
             config.policy.build()
         })
         .map_err(|e| ProxyError::InvalidConfig("cache_capacity_bytes", e.to_string()))?;
-        // The proxy reconciles its byte store from the engine's delta log;
+        // The proxy reconciles its slot tables from the engine's delta log;
         // the simulator (which shares the engine) leaves tracking off.
         engine.set_delta_tracking(true);
         let listener = TcpListener::bind("127.0.0.1:0")?;
@@ -389,9 +395,6 @@ impl CachingProxy {
         ));
         let state = Arc::new(ProxyState {
             engine,
-            store: PrefixStore::new(),
-            metadata: Mutex::new(FxHashMap::default()),
-            slot_names: (0..shards).map(|_| Mutex::new(Vec::new())).collect(),
             estimator: Mutex::new(EwmaEstimator::new(0.3)),
             queue: Arc::clone(&queue),
             origin_budget: OriginBudget::new(config.max_origin_connections),
@@ -477,7 +480,7 @@ impl CachingProxy {
     }
 
     /// A snapshot of the proxy's statistics. The hot counters are read
-    /// lock-free; only the store summary and the estimator take locks.
+    /// lock-free; the cached totals and the estimator take locks.
     pub fn stats(&self) -> ProxyStats {
         self.state.snapshot()
     }
@@ -494,34 +497,24 @@ impl CachingProxy {
 
     /// Bytes of `name` currently cached.
     pub fn cached_prefix_len(&self, name: &str) -> usize {
-        self.state.store.prefix_len(name)
+        lookup(&self.state, key_for(name), name).map_or(0, |object| object.prefix.len())
     }
 
     /// Snapshot of the cached objects as `(name, engine_bytes,
     /// store_bytes)` triples, in unspecified order — the engine's granted
-    /// allocation next to the bytes the store actually holds, for
+    /// allocation next to the prefix bytes the proxy actually holds, for
     /// observability and byte-accounting tests.
     pub fn contents(&self) -> Vec<(String, f64, usize)> {
         let mut all = Vec::new();
         for shard in 0..self.state.engine.shard_count() {
-            let shard_contents = self.state.engine.with_shard_index(shard, |engine| {
-                let names = self.state.slot_names[shard].lock();
-                engine
-                    .contents()
-                    .into_iter()
-                    .map(|(key, engine_bytes)| {
-                        let name = engine
-                            .slot_of(key)
-                            .and_then(|slot| names.get(slot as usize).cloned().flatten())
-                            .unwrap_or_default();
-                        (name, engine_bytes)
-                    })
-                    .collect::<Vec<_>>()
+            self.state.engine.with_shard_index(shard, |engine, table| {
+                all.extend(engine.contents().into_iter().map(|(key, granted)| {
+                    match engine.slot_of(key).and_then(|slot| table.get(slot)) {
+                        Some(entry) => (entry.name.clone(), granted, entry.object.prefix.len()),
+                        None => (String::new(), granted, 0),
+                    }
+                }));
             });
-            all.extend(shard_contents.into_iter().map(|(name, engine_bytes)| {
-                let store_bytes = self.state.store.prefix_len(&name);
-                (name, engine_bytes, store_bytes)
-            }));
         }
         all
     }
@@ -560,8 +553,6 @@ struct WorkerScratch {
     chunk: Vec<u8>,
     /// Tail-retention buffer, capped at the prefix the policy may admit.
     retained: Vec<u8>,
-    /// Reusable copy buffer for the engine's drained delta log.
-    deltas: Vec<CacheDelta>,
     /// Stateless policy clone used to size the retention cap without
     /// touching the engine lock from the relay loop.
     policy: Box<dyn UtilityPolicy + Send + Sync>,
@@ -572,7 +563,6 @@ impl WorkerScratch {
         WorkerScratch {
             chunk: vec![0u8; RING_BYTES],
             retained: Vec::new(),
-            deltas: Vec::new(),
             policy: policy.build(),
         }
     }
@@ -587,7 +577,7 @@ fn key_for(name: &str) -> ObjectKey {
     ObjectKey::new(hasher.finish())
 }
 
-/// Tail bytes worth retaining for the store, given the conservative
+/// Tail bytes worth retaining for the cache, given the conservative
 /// bandwidth lower bound `b_lo`: the policy's target allocation at
 /// slightly-below `b_lo`, minus the prefix already stored. Policy targets
 /// are non-increasing in bandwidth and this request's own observation
@@ -596,10 +586,10 @@ fn key_for(name: &str) -> ObjectKey {
 /// the engine's eventual grant in the common case. It is best-effort, not
 /// a guarantee: an origin stall after retention already stopped, or
 /// concurrent transfers dragging the shared estimator lower, can leave the
-/// grant larger than what was retained. The grow step then stores only the
-/// bytes in hand (store bytes never exceed the grant — the tolerated
-/// direction of drift) and the store catches up on the object's next
-/// request, which fetches from the shorter stored offset.
+/// grant larger than what was retained. The [`commit`] stage then stores
+/// only the bytes in hand (stored bytes never exceed the grant — the
+/// tolerated direction of drift) and the prefix catches up on the object's
+/// next request, which fetches from the shorter stored offset.
 fn retain_cap(
     policy: &(dyn UtilityPolicy + Send + Sync),
     meta: &ObjectMeta,
@@ -659,126 +649,24 @@ fn write_paced(
     Ok(())
 }
 
+/// Serves one client connection through the request stages: parse →
+/// lookup → origin open → relay → commit.
 fn handle_client(
     stream: TcpStream,
     state: &ProxyState,
     scratch: &mut WorkerScratch,
 ) -> Result<(), ProxyError> {
-    stream.set_nodelay(true).ok();
-    if !state.config.client_write_timeout.is_zero() {
-        stream
-            .set_write_timeout(Some(state.config.client_write_timeout))
-            .ok();
-    }
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let mut writer = BufWriter::new(stream);
-    let request = match read_command(&mut reader) {
-        Ok(Command::Get(request)) => request,
-        Ok(Command::Stats) => {
-            let mut json = state.snapshot().to_json();
-            json.push('\n');
-            writer
-                .write_all(json.as_bytes())
-                .and_then(|()| writer.flush())
-                .map_err(|e| client_err(state, ProxyError::Io(e)))?;
-            return Ok(());
-        }
-        Err(err @ ProxyError::Protocol(_)) => {
-            // Malformed or adversarial input: the bounded parser already
-            // stopped reading; answer with a clean ERR and drop the
-            // connection (best-effort — the peer may be gone).
-            let _ = write_response(&mut writer, &Response::Err("malformed request".into()));
-            return Err(err);
-        }
-        Err(err) => return Err(err),
+    let Some((name, mut writer)) = parse(stream, state)? else {
+        return Ok(());
     };
-    let name = request.name;
     // Per-client pacing: one token bucket per connection, so a greedy
     // client is bounded without penalizing its neighbours.
     let mut pace = RateLimiter::new(state.config.client_rate_limit_bps);
-
-    let cached = state.store.get(&name).unwrap_or_default();
-    let known_meta = state.metadata.lock().get(&name).copied();
-
-    // Open an origin connection when the object is not fully cached or its
-    // metadata is still unknown; the connection is opened *before* replying
-    // to the client so that the tail can be relayed as it arrives. The
-    // permit bounds concurrent origin connections for the whole transfer.
-    // Opens go through the resilient path (timeouts, retry/backoff, circuit
-    // breaker); when the origin stays unreachable but a prefix is cached,
-    // the request degrades to serving that prefix — the paper's partial
-    // caching masking the outage — flagged on the wire.
-    let mut origin: Option<(BufReader<TcpStream>, OriginPermit<'_>)> = None;
-    let mut degraded = false;
-    let (size, bitrate) = match known_meta {
-        Some((size, bitrate)) => {
-            if (cached.len() as u64) < size {
-                match open_origin(state, &name, cached.len() as u64) {
-                    OriginOutcome::Stream { reader, permit, .. } => {
-                        origin = Some((reader, permit));
-                    }
-                    OriginOutcome::Unknown => {
-                        write_response(&mut writer, &Response::Err("unknown object".into()))?;
-                        return Err(ProxyError::UnknownObject(name));
-                    }
-                    OriginOutcome::Unavailable => {
-                        if cached.is_empty() {
-                            write_response(
-                                &mut writer,
-                                &Response::Err("origin unavailable".into()),
-                            )?;
-                            return Err(ProxyError::OriginUnavailable(name));
-                        }
-                        degraded = true;
-                    }
-                }
-            }
-            (size, bitrate)
-        }
-        None => {
-            // First contact: learn the metadata from the origin's header.
-            match open_origin(state, &name, cached.len() as u64) {
-                OriginOutcome::Stream {
-                    reader,
-                    size,
-                    bitrate_bps,
-                    permit,
-                } => {
-                    state
-                        .metadata
-                        .lock()
-                        .insert(name.clone(), (size, bitrate_bps));
-                    origin = Some((reader, permit));
-                    (size, bitrate_bps)
-                }
-                OriginOutcome::Unknown => {
-                    write_response(&mut writer, &Response::Err("unknown object".into()))?;
-                    return Err(ProxyError::UnknownObject(name));
-                }
-                OriginOutcome::Unavailable => {
-                    // Nothing cached, no metadata: the outage cannot be
-                    // masked.
-                    write_response(&mut writer, &Response::Err("origin unavailable".into()))?;
-                    return Err(ProxyError::OriginUnavailable(name));
-                }
-            }
-        }
-    };
-
-    // Serve the client: header and cached prefix immediately (LAN speed),
-    // then relay the origin bytes chunk by chunk as they trickle in.
-    write_response(
-        &mut writer,
-        &Response::Ok {
-            size,
-            bitrate_bps: bitrate,
-            degraded,
-        },
-    )
-    .map_err(|e| client_err(state, e))?;
-    let prefix_bytes = cached.len().min(size as usize);
-    write_paced(state, &mut writer, &cached[..prefix_bytes], &mut pace)?;
-
+    let key = key_for(&name);
+    let cached = lookup(state, key, &name);
+    let opened = open(state, &name, cached, &mut writer)?;
+    let degraded = opened.degraded;
+    let relayed = relay(state, scratch, &name, key, opened, &mut writer, &mut pace)?;
     if degraded {
         // Degraded hit: the range-correct prefix is all the client gets.
         // Cache state, metadata and the bandwidth estimator are left
@@ -787,28 +675,183 @@ fn handle_client(
         state.requests.fetch_add(1, Ordering::Relaxed);
         state
             .bytes_from_cache
-            .fetch_add(prefix_bytes as u64, Ordering::Relaxed);
+            .fetch_add(relayed.object.prefix.len() as u64, Ordering::Relaxed);
         state.degraded_hits.fetch_add(1, Ordering::Relaxed);
         return Ok(());
     }
+    commit(state, scratch, &name, key, &relayed);
+    Ok(())
+}
 
-    let key = key_for(&name);
-    let duration = size as f64 / bitrate;
-    let meta = ObjectMeta::new(key, duration, bitrate, 0.0);
+/// Parse stage: sets the client socket options and reads one command. A
+/// `STATS` scrape is answered here and yields `None`; a `GET` yields the
+/// object name and the writer the later stages answer on.
+fn parse(
+    stream: TcpStream,
+    state: &ProxyState,
+) -> Result<Option<(String, BufWriter<TcpStream>)>, ProxyError> {
+    stream.set_nodelay(true).ok();
+    if !state.config.client_write_timeout.is_zero() {
+        stream
+            .set_write_timeout(Some(state.config.client_write_timeout))
+            .ok();
+    }
+    let mut reader = BufReader::new(stream.try_clone()?);
+    let mut writer = BufWriter::new(stream);
+    match read_command(&mut reader) {
+        Ok(Command::Get(request)) => Ok(Some((request.name, writer))),
+        Ok(Command::Stats) => {
+            let mut json = state.snapshot().to_json();
+            json.push('\n');
+            writer
+                .write_all(json.as_bytes())
+                .and_then(|()| writer.flush())
+                .map_err(|e| client_err(state, ProxyError::Io(e)))?;
+            Ok(None)
+        }
+        Err(err @ ProxyError::Protocol(_)) => {
+            // Malformed or adversarial input: the bounded parser already
+            // stopped reading; answer with a clean ERR and drop the
+            // connection (best-effort — the peer may be gone).
+            let _ = write_response(&mut writer, &Response::Err("malformed request".into()));
+            Err(err)
+        }
+        Err(err) => Err(err),
+    }
+}
 
-    // Relay the tail through the fixed-size ring, retaining only the
-    // leading bytes the policy could plausibly admit. `b_lo` is a running
-    // lower bound on this request's contribution to the post-transfer
-    // estimate: the minimum of the prior estimate and the observed
-    // throughput so far (see `retain_cap` for why this is best-effort
-    // rather than exact). Once a byte is dropped the retained prefix can
-    // never be extended again (it must stay contiguous), hence the
-    // `gapped` latch.
+/// Lookup stage: one shard lock resolves `name`'s slot and reads its
+/// table entry. `None` means the proxy has no metadata for the object yet.
+fn lookup(state: &ProxyState, key: ObjectKey, name: &str) -> Option<Object> {
+    state.engine.with_shard(key, |engine, table| {
+        engine
+            .slot_of(key)
+            .and_then(|slot| table.lookup(slot, name))
+            .cloned()
+    })
+}
+
+/// What the origin-open stage settled on: the object (metadata and cached
+/// prefix), the origin connection for the rest of it with its budget
+/// permit, and whether the request is served degraded.
+struct Opened<'a> {
+    object: Object,
+    origin: Option<(BufReader<TcpStream>, OriginPermit<'a>)>,
+    degraded: bool,
+}
+
+/// Origin-open stage. The origin is dialled only when the object is not
+/// fully cached or its metadata is still unknown, and *before* replying to
+/// the client so that the tail can be relayed as it arrives. Opens go
+/// through the resilient path (timeouts, retry/backoff, circuit breaker);
+/// when the origin stays unreachable but a prefix is cached, the request
+/// degrades to serving that prefix — the paper's partial caching masking
+/// the outage — flagged on the wire. Failures nothing can mask are
+/// answered with `ERR` here.
+fn open<'a>(
+    state: &'a ProxyState,
+    name: &str,
+    cached: Option<Object>,
+    writer: &mut BufWriter<TcpStream>,
+) -> Result<Opened<'a>, ProxyError> {
+    let cached = match cached {
+        Some(object) if object.prefix.len() as u64 >= object.size => {
+            return Ok(Opened {
+                object,
+                origin: None,
+                degraded: false,
+            });
+        }
+        cached => cached,
+    };
+    let offset = cached
+        .as_ref()
+        .map_or(0, |object| object.prefix.len() as u64);
+    match open_origin(state, name, offset) {
+        OriginOutcome::Stream {
+            reader,
+            size,
+            bitrate_bps,
+            permit,
+        } => Ok(Opened {
+            // First contact learns the metadata from the origin's header.
+            object: cached.unwrap_or(Object {
+                size,
+                bitrate_bps,
+                prefix: Bytes::new(),
+            }),
+            origin: Some((reader, permit)),
+            degraded: false,
+        }),
+        OriginOutcome::Unknown => {
+            write_response(writer, &Response::Err("unknown object".into()))?;
+            Err(ProxyError::UnknownObject(name.to_string()))
+        }
+        OriginOutcome::Unavailable => match cached {
+            Some(object) if !object.prefix.is_empty() => Ok(Opened {
+                object,
+                origin: None,
+                degraded: true,
+            }),
+            _ => {
+                write_response(writer, &Response::Err("origin unavailable".into()))?;
+                Err(ProxyError::OriginUnavailable(name.to_string()))
+            }
+        },
+    }
+}
+
+/// What the relay stage delivered: the object with the prefix served from
+/// cache, the tail bytes relayed from the origin, and the origin throughput
+/// observed for them. The retained tail is left in the worker's scratch.
+struct Relayed {
+    object: Object,
+    tail_len: u64,
+    origin_bps: Option<f64>,
+}
+
+/// Relay stage: the header and cached prefix go out immediately (LAN
+/// speed), then the origin tail is relayed through the fixed-size ring as
+/// it trickles in, retaining only the leading bytes the policy could
+/// plausibly admit. `b_lo` is a running lower bound on this request's
+/// contribution to the post-transfer estimate: the minimum of the prior
+/// estimate and the observed throughput so far (see [`retain_cap`] for why
+/// this is best-effort rather than exact). Once a byte is dropped the
+/// retained prefix can never be extended again (it must stay contiguous),
+/// hence the `gapped` latch.
+fn relay(
+    state: &ProxyState,
+    scratch: &mut WorkerScratch,
+    name: &str,
+    key: ObjectKey,
+    opened: Opened<'_>,
+    writer: &mut BufWriter<TcpStream>,
+    pace: &mut RateLimiter,
+) -> Result<Relayed, ProxyError> {
+    let Opened {
+        mut object,
+        mut origin,
+        degraded,
+    } = opened;
+    write_response(
+        writer,
+        &Response::Ok {
+            size: object.size,
+            bitrate_bps: object.bitrate_bps,
+            degraded,
+        },
+    )
+    .map_err(|e| client_err(state, e))?;
+    let prefix_bytes = object.prefix.len().min(object.size as usize);
+    object.prefix = object.prefix.slice(..prefix_bytes);
+    write_paced(state, writer, &object.prefix, pace)?;
+
     scratch.retained.clear();
     let mut tail_len: u64 = 0;
     let mut origin_bps: Option<f64> = None;
     if origin.is_some() {
-        let expected_tail = size.saturating_sub(prefix_bytes as u64);
+        let meta = object_meta(key, &object);
+        let expected_tail = object.size.saturating_sub(prefix_bytes as u64);
         let mut b_lo = state
             .estimator
             .lock()
@@ -826,12 +869,12 @@ fn handle_client(
                 // read timeout (stalled origin): drop the connection — and
                 // its budget permit — then resume from the current offset
                 // through the resilient open. If the origin stays down the
-                // client gets a short stream, and the store still keeps the
+                // client gets a short stream, and the cache still keeps the
                 // contiguous bytes in hand.
                 Ok(_) | Err(_) => {
                     origin = None;
                     if let OriginOutcome::Stream { reader, permit, .. } =
-                        open_origin(state, &name, prefix_bytes as u64 + tail_len)
+                        open_origin(state, name, prefix_bytes as u64 + tail_len)
                     {
                         origin = Some((reader, permit));
                         state.origin_resumes.fetch_add(1, Ordering::Relaxed);
@@ -839,7 +882,7 @@ fn handle_client(
                     continue;
                 }
             };
-            write_paced(state, &mut writer, &scratch.chunk[..n], &mut pace)?;
+            write_paced(state, writer, &scratch.chunk[..n], pace)?;
             tail_len += n as u64;
             let elapsed = started.elapsed().as_secs_f64();
             if elapsed > 0.0 {
@@ -861,100 +904,98 @@ fn handle_client(
 
     // Defensive check: the retained tail must continue the cached prefix.
     debug_assert_eq!(
-        verify_content(&name, prefix_bytes as u64, &scratch.retained),
+        verify_content(name, prefix_bytes as u64, &scratch.retained),
         None,
         "origin payload does not match expected content"
     );
+    Ok(Relayed {
+        object,
+        tail_len,
+        origin_bps,
+    })
+}
 
-    // Update the bandwidth estimate from the observed origin throughput
-    // (observe + read under a single estimator acquisition).
+/// Commit stage: folds the observed origin throughput into the bandwidth
+/// estimate, then takes the object's shard lock once for the engine
+/// decision and the table update. The candidate prefix — the bytes in
+/// hand, cached prefix plus retained tail — is built before the lock, so
+/// a request whose whole candidate is granted copies nothing under it.
+/// Under the lock the shard's delta log drains straight into its table
+/// (O(changes) per request), and this object's prefix becomes
+/// `min(grant, bytes in hand)`; a grant shorter than the candidate is
+/// copied out so the stored prefix does not pin the retained tail.
+fn commit(
+    state: &ProxyState,
+    scratch: &mut WorkerScratch,
+    name: &str,
+    key: ObjectKey,
+    relayed: &Relayed,
+) {
+    let Relayed {
+        object,
+        tail_len,
+        origin_bps,
+    } = relayed;
     let estimated = {
         let mut estimator = state.estimator.lock();
-        if let Some(bps) = origin_bps {
+        if let Some(bps) = *origin_bps {
             estimator.observe(bps);
         }
         estimator
             .estimate_bps()
             .unwrap_or(state.config.assumed_origin_bps)
     };
-
-    // Let the policy decide how much of this object to keep, then apply
-    // the engine's delta log to the byte store: O(changes) per request,
-    // no contents() rescan. Only the shard this object hashes to is
-    // locked; store mutations stay inside that shard's critical section so
-    // they are serialized in engine-decision order per shard.
+    let candidate = if scratch.retained.is_empty() {
+        object.prefix.clone()
+    } else {
+        let mut bytes = Vec::with_capacity(object.prefix.len() + scratch.retained.len());
+        bytes.extend_from_slice(&object.prefix);
+        bytes.extend_from_slice(&scratch.retained);
+        Bytes::from(bytes)
+    };
     state
         .engine
-        .access_with(&meta, estimated, |engine, shard, _| {
-            let target_bytes = engine.cached_bytes(key);
+        .access_with(&object_meta(key, object), estimated, |engine, table, _| {
+            for delta in engine.drain_deltas() {
+                table.truncate(delta.slot, delta.new_bytes as usize);
+            }
             let slot = engine
                 .slot_of(key)
                 .expect("accessed keys are interned by on_access");
-            scratch.deltas.clear();
-            scratch.deltas.extend(engine.drain_deltas());
-
-            {
-                let mut names = state.slot_names[shard].lock();
-                if names.len() <= slot as usize {
-                    names.resize(slot as usize + 1, None);
-                }
-                if names[slot as usize].is_none() {
-                    names[slot as usize] = Some(name.clone());
-                }
-                for delta in &scratch.deltas {
-                    // The accessed object's own change is applied below from
-                    // the bytes in hand; deltas handle everything else
-                    // (evictions of other objects in this shard).
-                    if delta.slot == slot {
-                        continue;
-                    }
-                    if let Some(victim) = names.get(delta.slot as usize).and_then(Option::as_ref) {
-                        if delta.new_bytes <= 0.0 {
-                            state.store.remove(victim);
-                        } else {
-                            state.store.truncate(victim, delta.new_bytes as usize);
-                        }
-                    }
-                }
-            }
-
-            // Grow this object's stored prefix up to the engine's allocation
-            // using the bytes in hand (cached prefix + retained tail).
-            let desired = (target_bytes as usize).min(size as usize);
-            if desired > 0 {
-                let have = prefix_bytes + scratch.retained.len();
-                let usable = desired.min(have);
-                if usable > state.store.prefix_len(&name) {
-                    let mut prefix = Vec::with_capacity(usable);
-                    prefix.extend_from_slice(&cached[..prefix_bytes.min(usable)]);
-                    if usable > prefix_bytes {
-                        prefix.extend_from_slice(&scratch.retained[..usable - prefix_bytes]);
-                    }
-                    state.store.put(&name, Bytes::from(prefix));
-                }
-            } else {
-                state.store.remove(&name);
-            }
+            let grant = (engine.cached_bytes(key) as usize).min(object.size as usize);
+            table.commit(
+                slot,
+                name,
+                object.size,
+                object.bitrate_bps,
+                &candidate,
+                grant,
+            );
         });
 
     // Request counters are lock-free: no stats critical section.
     state.requests.fetch_add(1, Ordering::Relaxed);
     state
         .bytes_from_cache
-        .fetch_add(prefix_bytes as u64, Ordering::Relaxed);
+        .fetch_add(object.prefix.len() as u64, Ordering::Relaxed);
     state
         .bytes_from_origin
-        .fetch_add(tail_len, Ordering::Relaxed);
+        .fetch_add(*tail_len, Ordering::Relaxed);
     state
         .peak_tail_bytes
         .fetch_max(scratch.retained.len() as u64, Ordering::Relaxed);
 
     // A request that retained a large prefix must not pin that capacity in
     // the worker for the proxy's lifetime: release it back down to the
-    // ring size once the bytes have been handed to the store.
+    // ring size once the bytes have been handed to the table.
     scratch.retained.clear();
     scratch.retained.shrink_to(RING_BYTES);
-    Ok(())
+}
+
+/// The engine's view of `object`: its size and bit-rate under `key`.
+fn object_meta(key: ObjectKey, object: &Object) -> ObjectMeta {
+    let duration = object.size as f64 / object.bitrate_bps;
+    ObjectMeta::new(key, duration, object.bitrate_bps, 0.0)
 }
 
 /// Outcome of one resilient origin open.

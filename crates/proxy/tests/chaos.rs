@@ -515,7 +515,9 @@ fn queue_deadline_sheds_stale_requests_with_busy() {
 /// counted, and does not wedge the pool for well-behaved clients.
 #[test]
 fn stalled_reader_is_disconnected_counted_and_does_not_wedge_the_pool() {
-    const BIG: u64 = 4 * 1024 * 1024;
+    // Well above loopback socket buffers (commonly up to 4 MB per side),
+    // so the stalled reader really does stall the proxy's writes.
+    const BIG: u64 = 32 * 1024 * 1024;
     let origin = OriginServer::start(OriginConfig {
         objects: vec![ObjectSpec::new("big", BIG, 8e6)],
         rate_limit_bps: 0.0,
@@ -537,7 +539,7 @@ fn stalled_reader_is_disconnected_counted_and_does_not_wedge_the_pool() {
     assert_eq!(proxy.cached_prefix_len("big") as u64, BIG);
 
     // The wedged client: request the object, read a token amount, then
-    // stop reading entirely. The proxy's 4 MB of writes overwhelm the
+    // stop reading entirely. The proxy's 32 MB of writes overwhelm the
     // socket buffers and the write timeout fires.
     let stream = TcpStream::connect(addr).unwrap();
     let mut reader = BufReader::new(stream.try_clone().unwrap());

@@ -47,7 +47,8 @@ impl Bytes {
         self.start == self.end
     }
 
-    /// Returns a sub-window of the buffer without copying.
+    /// Returns a sub-window of the buffer without copying. An empty window
+    /// is [`Bytes::new`] and, as upstream, keeps no reference to the buffer.
     ///
     /// # Panics
     ///
@@ -65,6 +66,9 @@ impl Bytes {
             Bound::Unbounded => self.len(),
         };
         assert!(start <= end && end <= self.len(), "slice out of bounds");
+        if start == end {
+            return Bytes::new();
+        }
         Bytes {
             data: Arc::clone(&self.data),
             start: self.start + start,
@@ -145,6 +149,20 @@ mod tests {
         let ss = s.slice(1..);
         assert_eq!(&ss[..], &[3, 4]);
         assert_eq!(b.slice(..).len(), 6);
+    }
+
+    #[test]
+    fn empty_slice_releases_the_buffer() {
+        let b = Bytes::from(vec![1, 2, 3]);
+        let empty = b.slice(..0);
+        assert!(empty.is_empty());
+        assert_eq!(Arc::strong_count(&b.data), 1);
+        let tail = b.slice(3..);
+        assert!(tail.is_empty());
+        assert_eq!(Arc::strong_count(&b.data), 1);
+        let window = b.slice(1..);
+        assert_eq!(Arc::strong_count(&b.data), 2);
+        drop((empty, tail, window));
     }
 
     #[test]
